@@ -85,7 +85,8 @@ class ChecksumReport:
         checksum row per stacked matrix).
     msd:
         Matrix sum deviation ``sum_j |d_j|`` over every column of every
-        stacked matrix (int).
+        stacked matrix (int). A sum of absolute values, so it is zero iff
+        every ``d_j`` is.
     """
 
     diffs: np.ndarray
@@ -93,7 +94,7 @@ class ChecksumReport:
 
     @property
     def any_error(self) -> bool:
-        return bool(np.any(self.diffs != 0))
+        return self.msd != 0
 
     @property
     def max_magnitude(self) -> int:
@@ -119,36 +120,45 @@ def checksum_report(
     return ChecksumReport(diffs=diffs, msd=msd)
 
 
-def slice_inspections(diffs: np.ndarray, macs: int):
-    """Split a discrepancy array into the protocol's per-slice inspections.
+def slice_msds(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat, msd)``: the per-slice discrepancy rows and their MSDs.
 
     The checksum row broadcasts over leading batch/head axes, but the
     recovery *decision* stays per 2-D matrix — the hardware recomputes one
-    tile, not the whole logical batch — so leading axes flatten into
-    ``n_slices`` independent inspections and the GEMM's MACs floor-divide
-    across them. Yields ``(slice_index, report, slice_macs)``;
-    ``slice_index`` is ``None`` for a plain 2-D GEMM. This is the single
-    definition of the slicing protocol, shared by the dispatch pipeline's
-    live protect instrument and its replayed bookkeeping
+    tile, not the whole logical batch — so leading axes flatten in C order
+    into ``n_slices`` rows of ``flat`` (one row for a plain 2-D GEMM), and
+    ``msd[s] = sum_j |flat[s, j]|`` in one reduction. A slice trips iff its
+    MSD is nonzero. This is the single definition of the slicing protocol,
+    shared by the dispatch pipeline's protect instrument
     (``repro.dispatch.pipeline.ProtectInstrument``, DESIGN.md section 8)
-    so the two can never drift apart.
+    and :func:`slice_inspections`.
     """
-    if diffs.ndim <= 1:
-        yield None, ChecksumReport(diffs=diffs, msd=int(np.abs(diffs).sum())), macs
-        return
-    n_slices = int(np.prod(diffs.shape[:-1]))
+    n_slices = int(np.prod(diffs.shape[:-1])) if diffs.ndim > 1 else 1
     flat = diffs.reshape(n_slices, -1)
-    slice_macs = macs // n_slices
-    for s in range(n_slices):
-        d = flat[s]
-        yield s, ChecksumReport(diffs=d, msd=int(np.abs(d).sum())), slice_macs
+    return flat, np.abs(flat).sum(axis=1)
+
+
+def slice_inspections(diffs: np.ndarray, macs: int):
+    """Split a discrepancy array into the protocol's per-slice inspections.
+
+    Yields ``(slice_index, report, slice_macs)`` for every slice of
+    :func:`slice_msds`, with the GEMM's MACs floor-divided across them;
+    ``slice_index`` is ``None`` for a plain 2-D GEMM.
+    """
+    flat, msd = slice_msds(diffs)
+    if diffs.ndim <= 1:
+        yield None, ChecksumReport(diffs=diffs, msd=int(msd[0])), macs
+        return
+    slice_macs = macs // len(msd)
+    for s in range(len(msd)):
+        yield s, ChecksumReport(diffs=flat[s], msd=int(msd[s])), slice_macs
 
 
 def lane_of_slice(index: int, n_slices: int, n_lanes: int) -> int:
     """Owning lane of 2-D slice ``index`` in a lane-packed dispatch.
 
     Lane packing stacks K trials along the *leading* batch axis (DESIGN.md
-    section 9), and :func:`slice_inspections` flattens leading axes in
+    section 9), and :func:`slice_msds` flattens leading axes in
     C order, so a packed call's slices form ``n_lanes`` contiguous runs of
     ``n_slices // n_lanes`` — slice ``index`` belongs to run
     ``index // run``. This is the single definition of lane ownership,

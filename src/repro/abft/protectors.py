@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.abft.checksums import ChecksumReport, lane_of_slice
 from repro.abft.region import CriticalRegion
 from repro.errors.sites import GemmSite
@@ -48,6 +50,11 @@ class ProtectionStats:
             key = str(site)
             self.per_site_recoveries[key] = self.per_site_recoveries.get(key, 0) + 1
 
+    def record_clean(self, n: int) -> None:
+        """Record ``n`` inspections of all-zero reports: neither detected
+        nor recovered, so only the inspection count moves."""
+        self.inspected += n
+
     @property
     def recovery_rate(self) -> float:
         """Fraction of inspected GEMMs that triggered recovery."""
@@ -67,6 +74,9 @@ class Protector:
         self.stats = ProtectionStats()
 
     def should_recover(self, report: ChecksumReport, site: GemmSite) -> bool:
+        """The recovery decision for one report. Must be ``False`` on an
+        all-zero report: the dispatch pipeline counts those in bulk through
+        :meth:`inspect_clean` and never asks (DESIGN.md section 8)."""
         raise NotImplementedError
 
     def inspect(self, report: ChecksumReport, site: GemmSite, macs: int) -> bool:
@@ -74,6 +84,16 @@ class Protector:
         recover = self.should_recover(report, site)
         self.stats.record(site, report.any_error, recover, macs)
         return recover
+
+    def inspect_clean(self, n_slices: int, tripped: Sequence[int] = ()) -> None:
+        """Bulk-record the inspections of a call's untripped slices.
+
+        ``tripped`` holds the indices of the call's ``n_slices`` 2-D slices
+        whose checksum row has a nonzero entry; every other slice saw an
+        all-zero report, on which no policy detects or recovers (the
+        :meth:`should_recover` contract), so its inspection is a count.
+        """
+        self.stats.record_clean(n_slices - len(tripped))
 
     def for_slice(self, index: Optional[int], n_slices: int) -> "Protector":
         """Protector owning 2-D slice ``index`` of ``n_slices``.
@@ -113,6 +133,16 @@ class LaneProtector(Protector):
 
     def lane_of(self, index: int, n_slices: int) -> int:
         return lane_of_slice(index, n_slices, len(self.lanes))
+
+    def inspect_clean(self, n_slices: int, tripped: Sequence[int] = ()) -> None:
+        """Split the untripped slices into lane runs: each lane owns
+        ``n_slices // n_lanes`` slices, less those of ``tripped`` that
+        :func:`~repro.abft.checksums.lane_of_slice` assigns to it."""
+        n_lanes = len(self.lanes)
+        run = n_slices // n_lanes
+        owners = lane_of_slice(np.asarray(tripped, dtype=np.int64), n_slices, n_lanes)
+        for lane, n_tripped in zip(self.lanes, np.bincount(owners, minlength=n_lanes)):
+            lane.stats.record_clean(run - int(n_tripped))
 
     def for_slice(self, index: Optional[int], n_slices: int) -> Protector:
         if index is None:

@@ -170,9 +170,8 @@ class LanePacker:
     """Groups pending trials into lane packs of at most ``max_lanes``.
 
     ``config_for`` maps a zoo model name to its ``ModelConfig`` (the resume
-    signature needs layer/component counts); the default loads — and, in
-    the campaign parent, merely re-reads the already-warmed — pretrained
-    bundle.
+    signature needs layer/component counts); the default reads it from
+    ``ZOO_SPECS`` without loading the checkpoint.
     """
 
     def __init__(
@@ -184,9 +183,7 @@ class LanePacker:
             raise ValueError("max_lanes must be >= 1")
         self.max_lanes = max_lanes
         if config_for is None:
-            from repro.training.zoo import get_pretrained
-
-            config_for = lambda model: get_pretrained(model).config  # noqa: E731
+            from repro.training.zoo import model_config as config_for
         self.config_for = config_for
 
     def pack(self, trials: Sequence[Trial]) -> list[list[Trial]]:
@@ -281,11 +278,15 @@ def evaluate_lane_pack(
             scores = evaluator.run(
                 pack_injector, pack_protector, cost=pack_cost, lanes=len(trials)
             )
-    elapsed = (time.perf_counter() - start) / len(trials)
+    pack_elapsed = time.perf_counter() - start
+    elapsed = pack_elapsed / len(trials)
     metrics = telemetry.METRICS
     metrics.counter("lanes.packs").inc()
     metrics.counter("lanes.packed_trials").inc(len(trials))
-    metrics.histogram("trial.elapsed_s").observe(elapsed * len(trials))
+    metrics.histogram("pack.elapsed_s").observe(pack_elapsed)
+    trial_elapsed = metrics.histogram("trial.elapsed_s")
+    for _ in trials:
+        trial_elapsed.observe(elapsed)
     for injector, protector in zip(injectors, protectors):
         _count_trial_stats(metrics, injector, protector)
     results = []

@@ -131,9 +131,9 @@ def q13_campaign_spec(
 ) -> CampaignSpec:
     """The Q1.3 protocol as a campaign grid (multi-seed fan-out)."""
     if components is None:
-        from repro.training.zoo import get_pretrained
+        from repro.training.zoo import model_config
 
-        components = get_pretrained(model).config.components
+        components = model_config(model).components
     return CampaignSpec(
         name=f"q13-{model}-{task}",
         models=(model,),

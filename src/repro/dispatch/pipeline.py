@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.abft.checksums import checksum_report, slice_inspections
+from repro.abft.checksums import ChecksumReport, checksum_report, slice_msds
 from repro.errors.sites import GemmSite
 
 
@@ -216,11 +216,15 @@ class ProtectInstrument(Instrument):
     """Consults the attached :class:`~repro.abft.protectors.Protector` per
     2-D GEMM slice and recovers tripped slices from the clean accumulators.
 
-    The slicing/charging protocol lives in
-    :func:`~repro.abft.checksums.slice_inspections` (shared with replayed
-    bookkeeping); recovery granularity, the protector's inspection
-    statistics, and the charged recovery MACs all match the paper's
-    per-GEMM protocol independent of batch size.
+    The slicing protocol lives in :func:`~repro.abft.checksums.slice_msds`:
+    one reduction yields every slice's MSD. A slice whose MSD is zero never
+    detects or recovers under any policy, so those slices are counted in
+    bulk (:meth:`~repro.abft.protectors.Protector.inspect_clean`, split
+    into lane runs on a lane-packed call) and only the tripped ones reach
+    ``inspect`` — in slice order, with the charged recovery MACs and the
+    protector statistics of the paper's per-GEMM protocol, independent of
+    batch size (DESIGN.md section 8). Replayed calls are clean by
+    construction and cost one bulk count.
     """
 
     name = "protect"
@@ -232,41 +236,42 @@ class ProtectInstrument(Instrument):
         call.need_int = True
         call.protected = True
 
-    def _lane_count(self) -> Optional[int]:
-        lanes = getattr(self.protector, "lanes", None)
-        return len(lanes) if lanes is not None else None
+    def _count_clean(self, n_slices: int, tripped, plain: bool) -> None:
+        # A plain 2-D GEMM has one slice, owned via ``for_slice(None, 1)``
+        # (a lane protector refuses it: it has no lane structure).
+        owner = self.protector.for_slice(None, 1) if plain else self.protector
+        owner.inspect_clean(n_slices, tripped)
 
     def after(self, call: GemmCall) -> None:
         # ``before`` forces materialization, so ``call.acc`` is never None.
         report = checksum_report(call.a_q, call.b_q, call.acc)
-        macs = call.macs
-        n_lanes = self._lane_count()
-        if n_lanes is not None:
-            call.recovered_slices_by_lane = [0] * n_lanes
-            call.recovered_macs_by_lane = [0] * n_lanes
-        if report.diffs.ndim <= 1:
-            for _, sub, sub_macs in slice_inspections(report.diffs, macs):
-                if self.protector.for_slice(None, 1).inspect(sub, call.site, sub_macs):
-                    # recovery: recompute at nominal voltage
-                    call.acc = call.clean
-                    call.recovered_slices += 1
-                    call.recovered_macs += sub_macs
-                    return
+        flat, msd = slice_msds(report.diffs)
+        plain = report.diffs.ndim <= 1
+        n_slices = len(msd)
+        tripped = np.flatnonzero(msd)
+        self._count_clean(n_slices, tripped, plain)
+        lanes = getattr(self.protector, "lanes", None)
+        if lanes is not None:
+            call.recovered_slices_by_lane = [0] * len(lanes)
+            call.recovered_macs_by_lane = [0] * len(lanes)
+        if not len(tripped):
             return
-        acc, clean = call.acc, call.clean
-        n_slices = int(np.prod(report.diffs.shape[:-1]))
+        acc = call.acc
         acc_slices = acc.reshape(n_slices, *acc.shape[-2:])
-        clean_slices = clean.reshape(n_slices, *clean.shape[-2:])
+        clean_slices = call.clean.reshape(acc_slices.shape)
         out = acc_slices
-        for s, sub, slice_macs in slice_inspections(report.diffs, macs):
-            protector = self.protector.for_slice(s, n_slices)
-            if protector.inspect(sub, call.site, slice_macs):
+        slice_macs = call.macs // n_slices
+        for s in tripped.tolist():
+            owner = self.protector.for_slice(None if plain else s, n_slices)
+            sub = ChecksumReport(diffs=flat[s], msd=int(msd[s]))
+            if owner.inspect(sub, call.site, slice_macs):
+                # recovery: recompute the slice at nominal voltage
                 if out is acc_slices:
                     out = acc_slices.copy()
                 out[s] = clean_slices[s]
                 call.recovered_slices += 1
                 call.recovered_macs += slice_macs
-                if n_lanes is not None:
+                if lanes is not None:
                     lane = self.protector.lane_of(s, n_slices)
                     call.recovered_slices_by_lane[lane] += 1
                     call.recovered_macs_by_lane[lane] += slice_macs
@@ -274,10 +279,8 @@ class ProtectInstrument(Instrument):
 
     def replay(self, call: GemmCall) -> None:
         # A skipped clean call would have produced zero discrepancies at
-        # every slice; hand the owning protector exactly those inspections.
+        # every slice: nothing trips.
         call.protected = True
         lead = call.out_shape[:-2]
-        zero = np.zeros(lead + (call.out_shape[-1],), dtype=np.int64)
         n_slices = int(np.prod(lead)) if lead else 1
-        for s, report, sub_macs in slice_inspections(zero, call.macs):
-            self.protector.for_slice(s, n_slices).inspect(report, call.site, sub_macs)
+        self._count_clean(n_slices, (), not lead)

@@ -9,6 +9,7 @@ targeted and applies the configured error model, keeping running statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -16,6 +17,14 @@ import numpy as np
 from repro.errors.models import ErrorModel
 from repro.errors.sites import GemmSite, SiteFilter, SiteFilterUnion
 from repro.utils.seeding import derive_rng
+
+
+@lru_cache(maxsize=None)
+def _site_keys(site: GemmSite) -> tuple[str, str]:
+    """``(stats key, RNG key prefix)`` of a site, formatted once per site
+    rather than once per lane per call (a model has a few dozen sites)."""
+    key = str(site)
+    return key, f"inject/{key}/"
 
 
 @dataclass
@@ -35,7 +44,7 @@ class InjectionStats:
         if n_errors > 0:
             self.corrupted_calls += 1
             self.injected_errors += n_errors
-            key = str(site)
+            key = _site_keys(site)[0]
             self.per_site_errors[key] = self.per_site_errors.get(key, 0) + n_errors
 
 
@@ -98,44 +107,35 @@ class ErrorInjector:
         self.stats.record(site, False, 0)
 
     def _stream(self, site: GemmSite) -> np.random.Generator:
-        """The per-(site, call-index) RNG stream at the current counter —
-        the single definition shared by :meth:`corrupt` and
-        :meth:`corrupt_into`, so the solo and lane-packed corruption paths
-        can never drift apart in their draws."""
-        return derive_rng(self.seed, f"inject/{site}/{self._call_index}")
+        """The per-(site, call-index) RNG stream at the current counter."""
+        return derive_rng(self.seed, f"{_site_keys(site)[1]}{self._call_index}")
 
     def corrupt(self, acc: np.ndarray, site: GemmSite) -> np.ndarray:
         """Return the (possibly corrupted) accumulator array for ``site``."""
-        self._call_index += 1
-        # Fast-path guard: the memoized filter match runs before any RNG
-        # stream is derived, so untargeted sites cost one dict hit.
-        if not self.targets(site):
-            self.stats.record(site, False, 0)
-            return acc
-        corrupted, n_errors = self.model.corrupt(acc, self._stream(site))
-        self.stats.record(site, True, n_errors)
-        return corrupted
+        return self.corrupt_block(acc, site)[0]
 
-    def corrupt_into(self, out: np.ndarray, block: slice, site: GemmSite) -> int:
-        """Corrupt this injector's lane block of a packed accumulator.
+    def corrupt_block(
+        self, acc: np.ndarray, site: GemmSite
+    ) -> tuple[np.ndarray, int]:
+        """``(corrupted, n_errors)`` for ``acc`` at ``site``.
 
-        Mirrors :meth:`corrupt` exactly — the same call-counter advance,
-        the same memoized filter check, the same :meth:`_stream` RNG
-        derivation — but applies the error model to ``out[block]`` in
-        place. The block has precisely the shape this injector would have
-        seen running its trial alone (lanes stack along the leading batch
-        axis, DESIGN.md section 9), so the model draws an identical stream
-        and flips identical bits; statistics update as in the solo run.
-        Returns the number of injected errors.
+        The single corruption path, shared by :meth:`corrupt` and the
+        lane-packed :class:`LaneInjector`: advance the call counter, check
+        the memoized filter before any RNG stream is derived (untargeted
+        sites cost one dict hit and return ``acc`` itself), then apply the
+        error model with the per-(site, call-index) stream. A lane's block
+        has precisely the shape this injector would have seen running its
+        trial alone (lanes stack along the leading batch axis, DESIGN.md
+        section 9), so the model draws an identical stream and flips
+        identical bits; statistics update as in the solo run.
         """
         self._call_index += 1
         if not self.targets(site):
             self.stats.record(site, False, 0)
-            return 0
-        corrupted, n_errors = self.model.corrupt(out[block], self._stream(site))
-        out[block] = corrupted
+            return acc, 0
+        corrupted, n_errors = self.model.corrupt(acc, self._stream(site))
         self.stats.record(site, True, n_errors)
-        return n_errors
+        return corrupted, n_errors
 
 
 class LaneInjector:
@@ -193,7 +193,8 @@ class LaneInjector:
         rows (lane j owns the j-th contiguous block); every live lane's
         call counter advances whether or not its own filter targets the
         site, mirroring what each solo run's :meth:`ErrorInjector.corrupt`
-        would have done on this dispatch.
+        would have done on this dispatch. Returns ``acc`` itself when no
+        lane corrupts anything, as an untargeted site does.
         """
         if not self.targets(site):
             self.register_untargeted(site)
@@ -205,9 +206,17 @@ class LaneInjector:
                 f"into {n_lanes} lanes"
             )
         rows = acc.shape[0] // n_lanes
-        out = np.array(acc, dtype=np.int64)
+        out = acc
         for j, lane in enumerate(self.lanes):
             if lane is None:
                 continue
-            lane.corrupt_into(out, slice(j * rows, (j + 1) * rows), site)
+            block = slice(j * rows, (j + 1) * rows)
+            corrupted, n_errors = lane.corrupt_block(acc[block], site)
+            # A model reporting no errors left its block unchanged: skip
+            # the write-back, and copy the packed array only once a lane
+            # actually corrupts something.
+            if n_errors:
+                if out is acc:
+                    out = np.array(acc, dtype=np.int64)
+                out[block] = corrupted
         return out

@@ -27,11 +27,13 @@ HIGH_BITS: tuple[int, ...] = tuple(range(16, 32))
 class ErrorModel(Protocol):
     """An error model corrupts an int32-valued accumulator array in place
     semantics-free: it returns a *new* corrupted array and an error count.
+    A count of zero means the returned array equals ``acc`` (the lane
+    injector relies on it to skip writing a clean block back).
 
     Lane contract (DESIGN.md section 9): ``corrupt`` must derive every draw
     from ``acc``'s own shape/content and the supplied ``rng`` — never from
     process-global state — because the lane-vectorized executor feeds each
-    lane its *block* of a packed accumulator (``ErrorInjector.corrupt_into``)
+    lane its *block* of a packed accumulator (``ErrorInjector.corrupt_block``)
     and relies on the draws being bit-identical to a solo run on the same
     array. Per-instance memoization keyed on observable array properties
     (e.g. :class:`StuckHighBitModel`'s per-width column picks) is fine:

@@ -273,9 +273,9 @@ def replay_skipped_calls(
     have done at each untargeted site: charge the MACs, advance the
     injector's per-call RNG counter (``register_untargeted``), hand the
     protector the zero-discrepancy checksum inspections it would have
-    performed (sliced and charged by the same
-    :func:`~repro.abft.checksums.slice_inspections` protocol as the live
-    protect instrument), and charge the hardware cost instrument — so
+    performed (sliced by the same :func:`~repro.abft.checksums.slice_msds`
+    protocol as the live protect instrument, and counted in bulk), and
+    charge the hardware cost instrument — so
     recovery statistics, charged recovery MACs, and measured cycles are
     identical whether or not the prefix was recomputed.
 

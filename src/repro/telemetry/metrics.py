@@ -19,7 +19,9 @@ Metric names in use: ``campaign.trials_executed`` / ``.trials_failed`` /
 ``store.corrupt_lines`` / ``.duplicate_ingests``,
 ``injector.corruptions``, ``protector.inspected`` / ``.detected`` /
 ``.recovered``, ``replay.trace_hits`` / ``.trace_misses`` (gauges mirroring
-the trace store's counters), ``trial.elapsed_s`` (histogram).
+the trace store's counters), ``trial.elapsed_s`` (histogram, one
+observation per trial: a lane pack's wall time split evenly across its
+lanes) and ``pack.elapsed_s`` (histogram, one observation per lane pack).
 
 The distributed control plane (DESIGN.md section 14) adds the ``fabric.*``
 family — broker side: ``fabric.leases_granted`` / ``.lease_steals`` /

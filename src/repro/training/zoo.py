@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,9 +109,18 @@ def clear_cache() -> None:
             path.unlink()
 
 
+def model_config(name: str) -> ModelConfig:
+    """The :class:`ModelConfig` of zoo model ``name``, built from
+    ``ZOO_SPECS`` without touching the checkpoint — exactly the config
+    :func:`get_pretrained` attaches to its bundle."""
+    if name not in ZOO_SPECS:
+        raise KeyError(f"unknown zoo model {name!r}; available: {sorted(ZOO_SPECS)}")
+    return ModelConfig(**ZOO_SPECS[name]["config"])
+
+
 def _train(name: str, seed: int) -> PretrainedBundle:
     spec = ZOO_SPECS[name]
-    config = ModelConfig(**spec["config"])
+    config = model_config(name)
     source = MarkovTextSource(seed=seed, **spec["source"])
     model = FloatTransformerLM(config, seed=seed)
     trainer = Trainer(model, TrainConfig(**spec["train"]))
@@ -127,8 +138,7 @@ def _train(name: str, seed: int) -> PretrainedBundle:
 
 def get_pretrained(name: str, seed: int = 0, use_cache: bool = True) -> PretrainedBundle:
     """Return a trained bundle, training and caching it on first use."""
-    if name not in ZOO_SPECS:
-        raise KeyError(f"unknown zoo model {name!r}; available: {sorted(ZOO_SPECS)}")
+    config = model_config(name)
     path = _cache_path(name, seed)
     spec = ZOO_SPECS[name]
     if use_cache and path.exists():
@@ -140,12 +150,11 @@ def get_pretrained(name: str, seed: int = 0, use_cache: bool = True) -> Pretrain
                     for key in archive.files
                     if key not in ("__meta__",)
                 }
-        except Exception:  # corrupted/truncated cache: fall back to retraining
-            logger.info("cache for %s is unreadable; retraining", name)
+        except _UNREADABLE_ARCHIVE as err:
+            logger.warning("cache for %s is unreadable (%s); retraining", name, err)
             meta = {}
             state = {}
         if state and meta.get("spec") == _spec_fingerprint(spec):
-            config = ModelConfig(**spec["config"])
             source = MarkovTextSource(seed=seed, **spec["source"])
             return PretrainedBundle(
                 name=name,
@@ -161,8 +170,32 @@ def get_pretrained(name: str, seed: int = 0, use_cache: bool = True) -> Pretrain
         meta = json.dumps(
             {"spec": _spec_fingerprint(spec), "final_loss": bundle.final_loss}
         )
-        np.savez(path, __meta__=np.asarray(meta), **bundle.state)
+        _save_atomic(path, __meta__=np.asarray(meta), **bundle.state)
     return bundle
+
+
+#: What reading a torn, truncated or foreign cache file raises; anything
+#: else is a real fault and propagates instead of becoming a silent retrain.
+_UNREADABLE_ARCHIVE = (
+    OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError, json.JSONDecodeError,
+)
+
+
+def _save_atomic(path: Path, **arrays: np.ndarray) -> None:
+    """``np.savez`` to a temp file beside ``path``, then rename it into
+    place: a reader (another worker on a cold cache) sees the old archive
+    or the complete new one, never a torn one. The temp file is written
+    through a handle because ``np.savez`` appends ``.npz`` to bare names."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, **arrays)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _spec_fingerprint(spec: dict) -> str:

@@ -501,6 +501,33 @@ class TestStore:
 
 
 class TestExecutor:
+    def test_lane_packer_never_loads_a_checkpoint(
+        self, opt_bundle, llama_bundle, monkeypatch
+    ):
+        """Packing reads model configs from ``ZOO_SPECS``; it used to reload
+        the whole checkpoint once per trial just to read ``.config``."""
+        import repro.training.zoo as zoo
+        from repro.campaigns.lanes import LanePacker
+
+        trials = _small_spec(
+            models=("opt-mini", "llama-mini"),
+            sites=(
+                SiteSpec.only(components=["K"], stages=["prefill"]),
+                SiteSpec.only(components=["O"], layers=[1]),
+            ),
+            seeds=tuple(range(50)),
+        ).expand()
+        bundles = {"opt-mini": opt_bundle, "llama-mini": llama_bundle}
+        expected = LanePacker(config_for=lambda m: bundles[m].config).pack(trials)
+        monkeypatch.setattr(
+            zoo, "get_pretrained", lambda *a, **k: pytest.fail("checkpoint loaded")
+        )
+        packs = LanePacker().pack(trials)
+        assert len(trials) == 200
+        assert [[t.key for t in p] for p in packs] == [
+            [t.key for t in p] for p in expected
+        ]
+
     def test_evaluate_trial_matches_direct_run(self, opt_evaluator):
         from repro.errors.injector import ErrorInjector
 

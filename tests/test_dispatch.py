@@ -644,3 +644,229 @@ class TestMeasuredEnergyPath:
             )
         ).total_j(run.macs, run.recovered_macs, 0.80)
         assert run.energy_j == expected
+
+
+# --------------------------------------------------------------------------
+# The protect instrument counts untripped slices in bulk and inspects only
+# the tripped ones (DESIGN.md section 8). Differential oracle: the per-slice
+# inspection loop it replaced, kept here verbatim in spirit.
+# --------------------------------------------------------------------------
+def _protector_factories():
+    from repro.abft.region import CriticalRegion
+    from repro.abft.protectors import ApproxABFT, NoProtection, StatisticalABFT
+
+    return {
+        NoProtection: NoProtection,
+        ClassicalABFT: ClassicalABFT,
+        ApproxABFT: lambda: ApproxABFT(msd_threshold=5000.0),
+        StatisticalABFT: lambda: StatisticalABFT(
+            regions={"Q": CriticalRegion(a=1.2, b=18.0, theta_freq=1.0)}
+        ),
+    }
+
+
+PROTECTOR_FACTORIES = _protector_factories()
+
+
+def test_factories_cover_every_protector_policy():
+    import repro.abft.protectors as protectors
+
+    policies = {
+        cls
+        for cls in vars(protectors).values()
+        if isinstance(cls, type)
+        and issubclass(cls, protectors.Protector)
+        and cls not in (protectors.Protector, protectors.LaneProtector)
+    }
+    assert policies == set(PROTECTOR_FACTORIES)
+
+
+@pytest.mark.parametrize("cls", list(PROTECTOR_FACTORIES), ids=lambda c: c.name)
+@pytest.mark.parametrize("lead", [(), (1,), (6,), (3, 2)])
+@pytest.mark.parametrize("site", [SITE, SITE_O], ids=str)
+def test_no_policy_recovers_on_an_all_zero_report(cls, lead, site, rng):
+    """The premise of the bulk path: an all-zero checksum row never trips."""
+    from repro.abft.checksums import ChecksumReport, checksum_report
+
+    protector = PROTECTOR_FACTORIES[cls]()
+    zero = ChecksumReport(diffs=np.zeros(lead + (5,), dtype=np.int64), msd=0)
+    assert not zero.any_error
+    assert protector.should_recover(zero, site) is False
+    a = rng.integers(-128, 128, size=lead + (4, 3)).astype(np.int8)
+    b = rng.integers(-128, 128, size=(3, 5)).astype(np.int8)
+    clean = checksum_report(a, b, a.astype(np.int64) @ b.astype(np.int64))
+    assert protector.should_recover(clean, site) is False
+
+
+def _reference_after(protector, call):
+    """The per-slice protect loop: one ``for_slice(...).inspect`` per slice."""
+    from repro.abft.checksums import checksum_report, slice_inspections
+
+    report = checksum_report(call.a_q, call.b_q, call.acc)
+    lanes = getattr(protector, "lanes", None)
+    if lanes is not None:
+        call.recovered_slices_by_lane = [0] * len(lanes)
+        call.recovered_macs_by_lane = [0] * len(lanes)
+    if report.diffs.ndim <= 1:
+        for _, sub, sub_macs in slice_inspections(report.diffs, call.macs):
+            if protector.for_slice(None, 1).inspect(sub, call.site, sub_macs):
+                call.acc = call.clean
+                call.recovered_slices += 1
+                call.recovered_macs += sub_macs
+        return
+    n_slices = int(np.prod(report.diffs.shape[:-1]))
+    acc_slices = call.acc.reshape(n_slices, *call.acc.shape[-2:])
+    clean_slices = call.clean.reshape(acc_slices.shape)
+    out = acc_slices.copy()
+    for s, sub, slice_macs in slice_inspections(report.diffs, call.macs):
+        if protector.for_slice(s, n_slices).inspect(sub, call.site, slice_macs):
+            out[s] = clean_slices[s]
+            call.recovered_slices += 1
+            call.recovered_macs += slice_macs
+            if lanes is not None:
+                lane = protector.lane_of(s, n_slices)
+                call.recovered_slices_by_lane[lane] += 1
+                call.recovered_macs_by_lane[lane] += slice_macs
+    call.acc = out.reshape(call.acc.shape)
+
+
+def _reference_replay(protector, call):
+    from repro.abft.checksums import slice_inspections
+
+    lead = call.out_shape[:-2]
+    zero = np.zeros(lead + (call.out_shape[-1],), dtype=np.int64)
+    n_slices = int(np.prod(lead)) if lead else 1
+    for s, report, sub_macs in slice_inspections(zero, call.macs):
+        protector.for_slice(s, n_slices).inspect(report, call.site, sub_macs)
+
+
+def _stats_of(protector):
+    import dataclasses
+
+    owners = getattr(protector, "lanes", None) or (protector,)
+    return [
+        (dataclasses.asdict(p.stats), list(p.stats.per_site_recoveries.items()))
+        for p in owners
+    ]
+
+
+def _stacked_call(seed, n_lanes, lane_batch, heads, m, k, n, tripped, site):
+    """A lane-packed stacked GEMM whose listed slices carry injected errors.
+
+    Errors mix single large flips, many small ones and column-cancelling
+    pairs (a corrupted slice whose checksum row still reads zero).
+    """
+    from repro.dispatch.pipeline import GemmCall
+    from repro.quant.gemm import wrap_int32
+
+    rng = np.random.default_rng(seed)
+    lead = (n_lanes * lane_batch, heads) if heads else (n_lanes * lane_batch,)
+    a = rng.integers(-128, 128, size=lead + (m, k)).astype(np.int8)
+    b = rng.integers(-128, 128, size=lead + (k, n)).astype(np.int8)
+    clean = a.astype(np.int64) @ b.astype(np.int64)
+    errors = np.zeros_like(clean).reshape(-1, m, n)
+    magnitudes = np.array([1, 3, 7, 1 << 12, 1 << 20, 1 << 30], dtype=np.int64)
+    for s in tripped:
+        if s >= len(errors):
+            continue
+        for _ in range(int(rng.integers(1, 4))):
+            i, j = rng.integers(m), rng.integers(n)
+            errors[s, i, j] += rng.choice(magnitudes) * rng.choice([-1, 1])
+        if rng.random() < 0.3:  # a pair that cancels in its column
+            j = rng.integers(n)
+            errors[s, 0, j] += 5
+            errors[s, m - 1, j] -= 5
+    acc = wrap_int32(clean + errors.reshape(clean.shape))
+    macs = int(np.prod(lead)) * m * k * n
+    return GemmCall(
+        site=site, kind="matmul", a_q=a, b_q=b, macs=macs,
+        out_shape=lead + (m, n), clean=clean, acc=acc,
+    )
+
+
+def _copy_call(call):
+    import dataclasses
+
+    return dataclasses.replace(call, acc=call.acc.copy())
+
+
+def _check_bulk_matches_reference(cls, call, n_lanes, use_lanes):
+    from repro.abft.protectors import LaneProtector
+    from repro.dispatch.pipeline import GemmCall, ProtectInstrument
+
+    make = PROTECTOR_FACTORIES[cls]
+    if use_lanes:
+        bulk = LaneProtector([make() for _ in range(n_lanes)])
+        reference = LaneProtector([make() for _ in range(n_lanes)])
+    else:
+        bulk, reference = make(), make()
+    live, expected = _copy_call(call), _copy_call(call)
+    ProtectInstrument(bulk).after(live)
+    _reference_after(reference, expected)
+    assert live.acc.dtype == expected.acc.dtype
+    np.testing.assert_array_equal(live.acc, expected.acc)
+    for field in ("recovered_slices", "recovered_macs",
+                  "recovered_slices_by_lane", "recovered_macs_by_lane"):
+        assert getattr(live, field) == getattr(expected, field), field
+    assert _stats_of(bulk) == _stats_of(reference)
+    replayed = GemmCall(
+        site=call.site, macs=call.macs, out_shape=call.out_shape, replayed=True
+    )
+    ProtectInstrument(bulk).replay(replayed)
+    _reference_replay(reference, replayed)
+    assert replayed.protected
+    assert _stats_of(bulk) == _stats_of(reference)
+
+
+@pytest.mark.parametrize("cls", list(PROTECTOR_FACTORIES), ids=lambda c: c.name)
+def test_bulk_protect_matches_per_slice_reference(cls):
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_lanes=st.integers(1, 8),
+        lane_batch=st.integers(1, 2),
+        heads=st.integers(0, 3),
+        m=st.integers(1, 4),
+        k=st.integers(1, 4),
+        n=st.integers(1, 5),
+        tripped=st.sets(st.integers(0, 47), max_size=12),
+        use_lanes=st.booleans(),
+        site=st.sampled_from([SITE, SITE_O]),
+    )
+    def check(seed, n_lanes, lane_batch, heads, m, k, n, tripped, use_lanes, site):
+        call = _stacked_call(
+            seed, n_lanes, lane_batch, heads, m, k, n, sorted(tripped), site
+        )
+        _check_bulk_matches_reference(cls, call, n_lanes, use_lanes)
+
+    check()
+
+
+@pytest.mark.parametrize("cls", list(PROTECTOR_FACTORIES), ids=lambda c: c.name)
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_bulk_protect_plain_gemm_matches_reference(cls, corrupt, rng):
+    from repro.dispatch.pipeline import GemmCall
+
+    a = rng.integers(-128, 128, size=(5, 4)).astype(np.int8)
+    b = rng.integers(-128, 128, size=(4, 3)).astype(np.int8)
+    clean = a.astype(np.int64) @ b.astype(np.int64)
+    acc = clean.copy()
+    if corrupt:
+        acc[2, 1] += 1 << 30
+    call = GemmCall(
+        site=SITE, kind="linear", a_q=a, b_q=b, macs=60,
+        out_shape=(5, 3), clean=clean, acc=acc,
+    )
+    _check_bulk_matches_reference(cls, call, 1, use_lanes=False)
+
+
+def test_lane_protector_refuses_a_plain_gemm(rng):
+    """A plain 2-D GEMM has no lane structure, tripped or not."""
+    from repro.abft.protectors import LaneProtector
+    from repro.dispatch.pipeline import GemmCall, ProtectInstrument
+
+    protect = ProtectInstrument(LaneProtector([ClassicalABFT(), ClassicalABFT()]))
+    with pytest.raises(ValueError, match="lane"):
+        protect.replay(GemmCall(site=SITE, macs=12, out_shape=(3, 4)))

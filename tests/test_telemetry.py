@@ -234,6 +234,22 @@ def test_pack_degradation_counts_warns_and_flags(opt_evaluator, monkeypatch, cap
     assert outcomes[-1]["metrics"]["pid"] == os.getpid()
 
 
+def test_elapsed_histograms_count_trials_and_packs(opt_evaluator):
+    """``trial.elapsed_s`` holds one observation per trial (the pack's wall
+    time split evenly across its lanes); ``pack.elapsed_s`` one per pack."""
+    from repro.campaigns.lanes import evaluate_lane_pack
+
+    packs = [[_trial(seed=s) for s in (0, 1, 2)], [_trial(seed=s) for s in (3, 4)]]
+    for pack in packs:
+        evaluate_lane_pack(pack, opt_evaluator)
+    evaluate_trial(_trial(seed=5), opt_evaluator)
+    trial_hist = telemetry.METRICS.histogram("trial.elapsed_s")
+    pack_hist = telemetry.METRICS.histogram("pack.elapsed_s")
+    assert trial_hist.count == 6
+    assert pack_hist.count == 2 == telemetry.METRICS.counter("lanes.packs").value
+    assert pack_hist.sum < trial_hist.sum  # plus the solo trial's time
+
+
 # ----------------------------------------------------------------- progress
 def test_progress_table_roundtrip(tmp_path):
     with ResultStore(tmp_path / "store") as store:
@@ -276,7 +292,18 @@ def test_build_and_render_snapshot():
     assert "lanes.packs" in render_metrics(snap)
 
 
-def _watched_campaign(spec_json: str, store_dir: str) -> None:
+def _watched_campaign(spec_json: str, store_dir: str, seen_running) -> None:
+    # A campaign this small can start and finish between two polls of the
+    # watcher; hold it after each "running" snapshot until the watcher has
+    # seen one, so the test observes a live campaign on any machine speed.
+    write_progress = ResultStore.write_progress
+
+    def held_write_progress(self, snapshot):
+        write_progress(self, snapshot)
+        if snapshot["state"] == "running":
+            seen_running.wait(timeout=60)
+
+    ResultStore.write_progress = held_write_progress
     spec = CampaignSpec.from_json(spec_json)
     with ResultStore(store_dir) as store:
         run_campaign(spec, store, workers=0)
@@ -298,8 +325,10 @@ def test_watch_reads_progress_from_concurrent_writer(opt_evaluator, tmp_path):
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     )
+    seen_running = ctx.Event()
     proc = ctx.Process(
-        target=_watched_campaign, args=(spec.to_json(), str(store_dir))
+        target=_watched_campaign,
+        args=(spec.to_json(), str(store_dir), seen_running),
     )
     proc.start()
     seen: list[dict] = []
@@ -311,6 +340,8 @@ def test_watch_reads_progress_from_concurrent_writer(opt_evaluator, tmp_path):
                 not seen or snapshot["ts"] != seen[-1]["ts"]
             ):
                 seen.append(snapshot)
+                if snapshot["state"] == "running":
+                    seen_running.set()
             if snapshot is not None and snapshot["state"] == "finished":
                 break
             time.sleep(0.02)

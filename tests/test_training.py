@@ -87,6 +87,79 @@ class TestZoo:
         floor = opt_bundle.source.entropy_rate()
         assert opt_bundle.final_loss < floor + 0.25
 
+    def test_model_config_needs_no_checkpoint(self, opt_bundle, monkeypatch):
+        import repro.training.zoo as zoo
+
+        monkeypatch.setattr(zoo.np, "load", None)  # any checkpoint read fails
+        for name in ZOO_SPECS:
+            assert zoo.model_config(name) == ModelConfig(**ZOO_SPECS[name]["config"])
+        assert zoo.model_config("opt-mini") == opt_bundle.config
+        with pytest.raises(KeyError):
+            zoo.model_config("gpt5-mini")
+
+    def test_crash_mid_write_keeps_old_checkpoint(
+        self, opt_bundle, tmp_path, monkeypatch
+    ):
+        """A writer dying inside ``np.savez`` leaves the previous archive in
+        place and readable, and no stray file a later load could pick up."""
+        import repro.training.zoo as zoo
+
+        source = zoo._cache_path("opt-mini", 0)
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        path = zoo._cache_path("opt-mini", 0)
+        path.write_bytes(source.read_bytes())
+
+        def torn_savez(handle, **arrays):
+            handle.write(b"PK\x03\x04 half an archive")
+            raise KeyboardInterrupt("killed mid-write")
+
+        monkeypatch.setattr(zoo.np, "savez", torn_savez)
+        with pytest.raises(KeyboardInterrupt):
+            zoo._save_atomic(path, **opt_bundle.state)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        monkeypatch.setattr(zoo, "_train", lambda *a: pytest.fail("retrained"))
+        again = zoo.get_pretrained("opt-mini")
+        assert again.final_loss == opt_bundle.final_loss
+        for key, value in opt_bundle.state.items():
+            np.testing.assert_array_equal(value, again.state[key])
+
+    def test_torn_cache_warns_and_is_replaced_whole(
+        self, opt_bundle, tmp_path, monkeypatch, caplog
+    ):
+        import logging
+
+        import repro.training.zoo as zoo
+
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        path = zoo._cache_path("opt-mini", 0)
+        path.write_bytes(b"not an npz archive")
+        monkeypatch.setattr(zoo, "_train", lambda name, seed: opt_bundle)
+        with caplog.at_level(logging.WARNING, logger="repro.zoo"):
+            zoo.get_pretrained("opt-mini")
+        assert any(
+            r.levelno == logging.WARNING and "unreadable" in r.getMessage()
+            for r in caplog.records
+        )
+        monkeypatch.setattr(zoo, "_train", lambda *a: pytest.fail("retrained"))
+        assert zoo.get_pretrained("opt-mini").final_loss == opt_bundle.final_loss
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_unexpected_load_error_is_not_a_silent_retrain(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.training.zoo as zoo
+
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        zoo._cache_path("opt-mini", 0).write_bytes(b"irrelevant")
+
+        def broken_load(*args, **kwargs):
+            raise RuntimeError("not a torn file")
+
+        monkeypatch.setattr(zoo.np, "load", broken_load)
+        monkeypatch.setattr(zoo, "_train", lambda *a: pytest.fail("retrained"))
+        with pytest.raises(RuntimeError, match="not a torn file"):
+            zoo.get_pretrained("opt-mini")
+
     def test_float_model_reconstruction(self, opt_bundle):
         model = opt_bundle.float_model()
         loss = model.loss(opt_bundle.source.sample_batch(2, 16, key="zcheck"))
